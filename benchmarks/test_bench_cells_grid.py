@@ -1,13 +1,15 @@
 """Batched-grid characterization bench: batched vs. per-point SPICE.
 
-One NAND2 timing arc is characterized twice -- ``grid_batch=True``
-(a handful of batched-grid transients via ``transient_grid``) and
-``grid_batch=False`` (the sequential per-point path) -- interleaved
-best-of-N so machine noise hits both equally.  The batched win comes
-from the step-count ratio: one lockstep Newton step costs nearly the
-same for a whole load row (or several merged rows) as for a single
-point, because the stacked compact-model call dominates and its cost is
-size-independent at these widths.
+One NAND2 timing arc is characterized twice -- through the
+characterizer (a handful of batched-grid transients via
+``transient_grid``) and as a per-point baseline (one ``transient`` per
+planned table point, each on its own ``t_stop``/``dt``, with the same
+delay and slew measurements) -- interleaved best-of-N so machine noise
+hits both equally.  The batched win comes from the step-count ratio:
+one lockstep Newton step costs nearly the same for a whole load row (or
+several merged rows) as for a single point, because the stacked
+compact-model call dominates and its cost is size-independent at these
+widths.
 
 The slew axis is a three-point subset spanning the default range; the
 load axis is the full seven-point row (the batching dimension).  Both
@@ -25,23 +27,39 @@ from repro.cells import (
     cell_by_name,
 )
 from repro.device import golden_nfet, golden_pfet
+from repro.spice import propagation_delay, transient
 
 BENCH_SLEWS = (8e-12, 32e-12, 128e-12)
 REPEATS = 3
 MIN_SPEEDUP = 4.0
 
 
+def _per_point_arc(char: CellCharacterizer, cell, pin: str) -> None:
+    """The arc's planned points solved one ``transient`` at a time.
+
+    Each point runs on its own ``t_stop``/``dt`` (not its batch's union
+    grid) and gets the same delay and slew measurements as the batched
+    path -- the work a per-point characterizer does.
+    """
+    vdd = char.config.vdd
+    for batch in char.plan_grid_batches(cell, pin):
+        for p in batch.points:
+            circuit = char.build_cell_circuit(cell, p.load, p.wave_map)
+            res = transient(circuit, p.t_stop, p.dt,
+                            record=[pin, cell.output])
+            wout = res.waveform(cell.output)
+            propagation_delay(res.waveform(pin), wout, vdd, p.in_tr,
+                              p.out_tr)
+            wout.transition_time(0.0, vdd, direction=p.out_tr)
+
+
 def test_bench_cells_grid_speedup(bench_record):
     models = TechModels(golden_nfet(), golden_pfet())
     cell = cell_by_name("NAND2_X1")
-    chars = {
-        mode: CellCharacterizer(
-            models,
-            CharacterizationConfig(engine="spice", slew_index=BENCH_SLEWS,
-                                   grid_batch=mode),
-        )
-        for mode in (True, False)
-    }
+    char = CellCharacterizer(
+        models,
+        CharacterizationConfig(engine="spice", slew_index=BENCH_SLEWS),
+    )
 
     # Warm model/temperature caches with a tiny arc so neither timed
     # path pays first-touch costs.
@@ -57,10 +75,10 @@ def test_bench_cells_grid_speedup(bench_record):
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         notes_batch = []
-        chars[True]._characterize_arc_spice(cell, "A", notes_batch)
+        char._characterize_arc_spice(cell, "A", notes_batch)
         t_batch = min(t_batch, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        chars[False]._characterize_arc_spice(cell, "A", [])
+        _per_point_arc(char, cell, "A")
         t_seq = min(t_seq, time.perf_counter() - t0)
 
     speedup = t_seq / t_batch

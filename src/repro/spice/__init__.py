@@ -3,10 +3,12 @@
 Stands in for Synopsys PrimeSim in the paper's flow (Fig. 4).  Supports
 resistors, capacitors, waveform-driven voltage sources and FinFET compact
 -model instances; DC (Newton-Raphson + gmin stepping) and fixed-step
-backward-Euler transient analysis.
+transient analysis of one circuit or of a lockstep grid of structurally
+identical circuits -- one kernel, where a single circuit is a
+one-replica grid.
 """
 
-from repro.spice.mna import MNASystem, ReplicatedMNASystem
+from repro.spice.mna import MNASystem
 from repro.spice.netlist import (
     Capacitor,
     Circuit,
@@ -39,7 +41,6 @@ __all__ = [
     "OperatingPoint",
     "PWL",
     "Pulse",
-    "ReplicatedMNASystem",
     "Resistor",
     "SolverBudget",
     "SolverStats",

@@ -6,7 +6,16 @@
 * :func:`transient` -- fixed-step backward-Euler integration (L-stable; the
   characterization flow picks steps ~100x smaller than the fastest
   transition, where BE's first-order error is negligible against the
-  compact-model accuracy).
+  compact-model accuracy) or trapezoidal.
+* :func:`transient_grid` -- G structurally identical circuits stepped in
+  lockstep on one time grid, evicting replicas that fail.
+
+One kernel serves all three: a single circuit is a one-replica grid.
+There is one :class:`~repro.spice.mna.MNASystem`, one masked
+modified-Newton loop (:func:`_newton_solve`), one Jacobian cache and one
+lockstep transient stepper.  The single-circuit entry points wrap the
+Newton loop in the escalation ladder (plain NR -> gmin ladder -> source
+stepping); :func:`transient_grid` instead evicts a replica that fails.
 
 Results come back as :class:`TransientResult`, which exposes per-node
 :class:`~repro.spice.waveform.Waveform` objects and per-source branch
@@ -16,36 +25,33 @@ Robustness: every public entry point accepts an optional
 :class:`SolverBudget` bounding total Newton iterations and wall-clock
 time, so one pathological solve cannot stall a library build.  Budget
 exhaustion raises :class:`~repro.errors.SolverBudgetError`; hopeless
-solves raise :class:`ConvergenceError` carrying the full escalation
-history (plain NR -> gmin ladder -> source stepping).
+single-circuit solves raise :class:`ConvergenceError` carrying the full
+escalation history.
 
-Performance: with the default ``kernel="compiled"`` the inner loop runs
-modified Newton -- the first iteration of each solve reuses the LU
-factorization and frozen device companions from the previous solve (in a
-transient, the previous timestep), so it rebuilds only the RHS and costs
-*zero* compact-model calls.  Subsequent iterations re-linearize; a
-solution is only ever accepted from a fresh-Jacobian update (or, for
-circuits without nonlinear devices, from the exact cached matrix), so
-accepted solutions satisfy exactly the same criterion as the seed
-solver.  Every escalation-ladder rung changes the cache key and
-therefore starts from a fresh Jacobian.  Reused iterations are counted
-in :attr:`SolverStats.jacobian_reuses`.  ``kernel="reference"`` retains
-the seed behavior (full re-assembly and re-factorization every
-iteration) for equivalence tests and benchmarks.
+Performance: the Newton loop runs modified Newton -- the first iteration
+of each solve reuses the Jacobian and frozen device companions from the
+previous solve (in a transient, the previous timestep), so it rebuilds
+only the RHS and costs *zero* compact-model calls.  Subsequent
+iterations re-linearize; a solution is only ever accepted from a
+fresh-Jacobian update (or, for circuits without nonlinear devices, from
+the exact cached matrix), so accepted solutions satisfy exactly the same
+criterion as a full-Newton solver.  Every escalation-ladder rung changes
+the cache key and therefore starts from a fresh Jacobian.  Reused
+iterations are counted in :attr:`SolverStats.jacobian_reuses`.  The
+full-Newton seed solver survives as the test oracle in
+``tests/spice/reference_kernel.py``.
 """
 
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from repro import telemetry
 from repro.errors import ConfigError, SolverBudgetError, SolverError
-from repro.spice.mna import GMIN_DEFAULT, MNASystem, ReplicatedMNASystem
+from repro.spice.mna import GMIN_DEFAULT, MNASystem
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Waveform
 
@@ -100,8 +106,8 @@ class SolverStats:
     dt_effective: float = 0.0
     """The timestep actually used (transient only)."""
     jacobian_reuses: int = 0
-    """Newton iterations served by a reused LU factorization (modified
-    Newton); 0 with ``kernel="reference"`` and for cold DC solves."""
+    """Newton iterations served by a reused Jacobian (modified Newton);
+    0 for cold DC solves.  In a grid one reuse serves every replica."""
 
 
 @dataclass(frozen=True)
@@ -200,33 +206,37 @@ class _BudgetTracker:
 
 
 class _JacobianCache:
-    """LU factorization + frozen device companions carried across solves.
+    """Frozen Jacobian + device companions carried across solves.
 
-    The cache key pins the linear-system *structure* the factorization
-    was built for -- (gmin, source_scale, companion on/off) -- so every
+    The cache key pins the linear-system *structure* the Jacobian was
+    built for -- (gmin, source_scale, companion on/off) -- so every
     escalation-ladder rung starts from a fresh Jacobian.  ``fet_ieq``
     holds the device Norton RHS currents of the cached linearization:
     with them a bypass iteration rebuilds ``z`` for a new timestep via
-    :meth:`MNASystem.rhs` without touching the compact model.
-    ``reuses`` accumulates across one solver entry point and is
-    published as :attr:`SolverStats.jacobian_reuses`.
+    :meth:`MNASystem.rhs` without touching the compact model.  The cache
+    holds the assembled ``(G, dim, dim)`` stack rather than a
+    factorization: the blocks are tiny, so one batched
+    ``np.linalg.solve`` call (which refactorizes each block inside
+    LAPACK) costs less than G scipy factorizations and a Python loop of
+    back-substitutions.  ``reuses`` accumulates across one solver entry
+    point and is published as :attr:`SolverStats.jacobian_reuses`.
     """
 
-    __slots__ = ("lu", "key", "fet_ieq", "reuses")
+    __slots__ = ("a", "key", "fet_ieq", "reuses")
 
     def __init__(self):
-        self.lu = None
+        self.a = None
         self.key = None
         self.fet_ieq = None
         self.reuses = 0
 
-    def store(self, key, lu, fet_ieq) -> None:
+    def store(self, key, a, fet_ieq) -> None:
         self.key = key
-        self.lu = lu
+        self.a = a
         self.fet_ieq = fet_ieq
 
     def matches(self, key) -> bool:
-        return self.lu is not None and self.key == key
+        return self.a is not None and self.key == key
 
 
 @dataclass
@@ -273,111 +283,156 @@ class TransientResult:
         return float(-np.trapezoid(i, self.time) * vdd)
 
 
-def _factorize(a: np.ndarray):
-    """LU-factorize ``a``, silencing scipy's exact-singularity warning
-    (singularity is detected downstream via non-finite solutions, which
-    the Newton loop converts to :class:`ConvergenceError`)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(a, check_finite=False)
+def _linear_solve(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Batched block solve; a singular replica poisons only itself.
+
+    ``np.linalg.solve`` rejects the whole batch when any block is
+    singular, so on failure the blocks are re-solved one by one and the
+    offenders come back as NaN rows -- which the masked Newton loop
+    turns into a failure of exactly those replicas.
+    """
+    try:
+        # The explicit trailing unit axis pins the gufunc signature to a
+        # stack of column vectors on every numpy version.
+        return np.linalg.solve(a, z[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(z)
+        for g in range(z.shape[0]):
+            try:
+                out[g] = np.linalg.solve(a[g], z[g])
+            except np.linalg.LinAlgError:
+                out[g] = np.nan
+        return out
 
 
 def _newton_solve(
     system: MNASystem,
-    x0: np.ndarray,
-    t: float,
+    x: np.ndarray,
+    source_values: np.ndarray,
     gmin: float,
     cap_companion: tuple[np.ndarray, np.ndarray] | None,
+    tracker: _BudgetTracker | None,
     source_scale: float = 1.0,
-    tracker: _BudgetTracker | None = None,
-) -> tuple[np.ndarray, int]:
-    """Damped (modified-)NR iteration; returns (solution, iterations).
+    alive: np.ndarray | None = None,
+) -> tuple[int, np.ndarray]:
+    """Lockstep masked, damped modified-Newton solve across all replicas.
 
-    With a :class:`_JacobianCache` installed on ``system`` (the compiled
-    kernel), the first iteration of a solve whose cache key matches
-    bypasses both assembly and the compact model: the RHS is rebuilt
-    around the *frozen* device companions (:meth:`MNASystem.rhs`) and
-    solved against the cached LU.  For circuits without FinFETs the
-    cached matrix is exact, so every iteration may ride it.  A solution
-    is accepted only from a non-stale update -- after a stale bypass
-    converges, one fresh polish iteration re-linearizes so the accepted
-    step meets the same full-Newton criterion as the seed solver.
-    Without a cache (``kernel="reference"``) this is exactly the seed
-    algorithm.
+    ``x`` (``(G, dim)``) is updated in place for the replicas in
+    ``alive`` (default: all).  The first iteration of a solve whose
+    cache key matches bypasses both assembly and the compact model: the
+    RHS is rebuilt around the *frozen* device companions
+    (:meth:`MNASystem.rhs`) and solved against the cached Jacobian.  For
+    circuits without FinFETs the cached matrix is exact, so every
+    iteration may ride it.  A solution is accepted only from a non-stale
+    update -- after a stale bypass converges, one fresh iteration
+    re-linearizes so the accepted step meets the full-Newton criterion.
+
+    Masked convergence: a replica whose accepted update lands under
+    ``_VTOL`` is frozen (its block stops moving) while the others keep
+    iterating; a replica whose update goes non-finite, or that is still
+    unconverged when the iteration cap runs out, fails.  Returns
+    ``(iterations, converged)`` where ``converged`` marks the replicas
+    that finished cleanly.
     """
-    cache: _JacobianCache | None = system.jacobian_cache
+    cache: _JacobianCache = system.jacobian_cache
     key = (gmin, source_scale, cap_companion is not None)
     linear = system.n_fets == 0
-    x = x0.copy()
+    n_nodes = system.n_nodes
+    alive = np.ones(system.n_replicas, dtype=bool) if alive is None else alive
+    need = alive.copy()
+    failed = np.zeros_like(alive)
+    if not need.any():
+        return 0, failed
     for it in range(1, _MAX_NR_ITERATIONS + 1):
         stale = False
-        if (cache is not None and cache.matches(key)
-                and (linear or it == 1)):
+        if cache.matches(key) and (linear or it == 1):
             # Bypass: the matrix (static + gmin + cap geq + frozen device
             # conductances) is unchanged, so only the RHS moves with t.
-            z = system.rhs(t, cap_companion, source_scale, cache.fet_ieq)
-            x_new = lu_solve(cache.lu, z, check_finite=False)
+            z = system.rhs(source_values, cap_companion, cache.fet_ieq,
+                           source_scale)
+            a = cache.a
             cache.reuses += 1
             stale = not linear
         else:
-            if cache is None:
-                a, z = system.assemble(x, t, gmin=gmin,
-                                       cap_companion=cap_companion,
-                                       source_scale=source_scale)
-                try:
-                    x_new = np.linalg.solve(a, z)
-                except np.linalg.LinAlgError as exc:
-                    raise ConvergenceError(
-                        f"singular MNA matrix at t={t}"
-                    ) from exc
-            else:
-                a, z, fet_ieq = system.assemble_with_companions(
-                    x, t, gmin=gmin, cap_companion=cap_companion,
-                    source_scale=source_scale)
-                lu = _factorize(a)
-                x_new = lu_solve(lu, z, check_finite=False)
-                cache.store(key, lu, fet_ieq)
-        delta = x_new - x
-        if not np.all(np.isfinite(delta)):
-            raise ConvergenceError(f"singular MNA matrix at t={t}")
+            a, z, fet_ieq = system.assemble(
+                x, source_values, gmin=gmin, cap_companion=cap_companion,
+                source_scale=source_scale)
+            cache.store(key, a, fet_ieq)
+        delta = _linear_solve(a, z) - x
+        finite = np.isfinite(delta).all(axis=1)
+        newly_bad = need & ~finite
+        if newly_bad.any():
+            failed |= newly_bad
+            need &= finite
+            if not need.any():
+                return it, alive & ~failed
         if tracker is not None:
             tracker.charge(1)
         # Clamp only the node-voltage part; branch currents move freely.
-        dv = delta[: system.n_nodes]
-        max_dv = float(np.max(np.abs(dv))) if dv.size else 0.0
-        if max_dv > _STEP_CLAMP:
-            delta[: system.n_nodes] *= _STEP_CLAMP / max_dv
-        x = x + delta
-        if max_dv < _VTOL and not stale:
-            return x, it
-        # A stale bypass never terminates the loop: the next iteration
+        max_dv = np.abs(delta[:, :n_nodes]).max(axis=1, initial=0.0)
+        over = need & (max_dv > _STEP_CLAMP)
+        if over.any():
+            delta[over, :n_nodes] *= (_STEP_CLAMP / max_dv[over])[:, None]
+        # Converged and failed replicas are frozen: their blocks stop
+        # moving, so survivors never see a dead replica's state.
+        delta[~need] = 0.0
+        x += delta
+        # A stale bypass never converges a replica: the next iteration
         # re-linearizes at the bypassed point and decides.
-    raise ConvergenceError(
-        f"Newton-Raphson did not converge in {_MAX_NR_ITERATIONS} iterations "
-        f"(t={t}, gmin={gmin}, source_scale={source_scale})"
-    )
+        if not stale:
+            need &= ~(max_dv < _VTOL)
+        if not need.any():
+            return it, alive & ~failed
+    # Iteration cap: whatever is still iterating failed to converge.
+    return _MAX_NR_ITERATIONS, alive & ~failed & ~need
+
+
+def _converge(
+    system: MNASystem,
+    x0: np.ndarray,
+    source_values: np.ndarray,
+    t: float,
+    gmin: float,
+    cap_companion: tuple[np.ndarray, np.ndarray] | None,
+    tracker: _BudgetTracker | None,
+    source_scale: float = 1.0,
+) -> tuple[np.ndarray, int]:
+    """One escalation rung: a Newton solve from ``x0`` that must converge.
+
+    Returns ``(solution, iterations)``; ``x0`` is left untouched so a
+    failed rung hands the next one the same starting point.
+    """
+    x = x0.copy()
+    its, converged = _newton_solve(system, x, source_values, gmin,
+                                   cap_companion, tracker, source_scale)
+    if not converged.all():
+        raise ConvergenceError(
+            f"Newton-Raphson failed: singular matrix or no convergence in "
+            f"{_MAX_NR_ITERATIONS} iterations (t={t}, gmin={gmin}, "
+            f"source_scale={source_scale})")
+    return x, its
 
 
 def _solve_with_source_stepping(
     system: MNASystem,
     x0: np.ndarray,
+    source_values: np.ndarray,
     t: float,
     cap_companion: tuple[np.ndarray, np.ndarray] | None,
     tracker: _BudgetTracker | None,
-    stats: SolverStats | None = None,
+    stats: SolverStats,
 ) -> tuple[np.ndarray, int]:
     """Continuation in the source amplitude: ramp 0 -> 1, tracking the
     solution branch.  The near-zero-bias circuit is almost linear, so the
     first rung converges from a cold start and each later rung starts from
     the previous solution."""
-    x = x0.copy()
+    x = x0
     total = 0
     for scale in _SOURCE_LADDER:
-        if stats is not None:
-            stats.source_steps += 1
+        stats.source_steps += 1
         try:
-            x, its = _newton_solve(system, x, t, GMIN_DEFAULT, cap_companion,
-                                   source_scale=scale, tracker=tracker)
+            x, its = _converge(system, x, source_values, t, GMIN_DEFAULT,
+                               cap_companion, tracker, source_scale=scale)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"source stepping failed at scale={scale} (t={t})"
@@ -389,30 +444,30 @@ def _solve_with_source_stepping(
 def _solve_with_gmin_stepping(
     system: MNASystem,
     x0: np.ndarray,
+    source_values: np.ndarray,
     t: float,
     cap_companion: tuple[np.ndarray, np.ndarray] | None,
-    tracker: _BudgetTracker | None = None,
-    stats: SolverStats | None = None,
+    tracker: _BudgetTracker | None,
+    stats: SolverStats,
 ) -> tuple[np.ndarray, int]:
     """Try plain NR; on failure walk gmin large to small; on a mid-ladder
     failure fall through to source stepping before giving up."""
     try:
-        return _newton_solve(system, x0, t, GMIN_DEFAULT, cap_companion,
-                             tracker=tracker)
+        return _converge(system, x0, source_values, t, GMIN_DEFAULT,
+                         cap_companion, tracker)
     except SolverBudgetError:
         raise
     except ConvergenceError:
         pass
 
     gmin_failure: ConvergenceError | None = None
-    x = x0.copy()
+    x = x0
     total = 0
     for gmin in _GMIN_LADDER:
-        if stats is not None:
-            stats.gmin_steps += 1
+        stats.gmin_steps += 1
         try:
-            x, its = _newton_solve(system, x, t, gmin, cap_companion,
-                                   tracker=tracker)
+            x, its = _converge(system, x, source_values, t, gmin,
+                               cap_companion, tracker)
             total += its
         except SolverBudgetError:
             raise
@@ -427,8 +482,8 @@ def _solve_with_gmin_stepping(
         return x, total
 
     try:
-        return _solve_with_source_stepping(system, x0, t, cap_companion,
-                                           tracker, stats)
+        return _solve_with_source_stepping(system, x0, source_values, t,
+                                           cap_companion, tracker, stats)
     except SolverBudgetError:
         raise
     except ConvergenceError as exc:
@@ -452,47 +507,45 @@ def _record_solver_metrics(kind: str, stats: SolverStats) -> None:
         telemetry.count("solver.jacobian_reuses", stats.jacobian_reuses)
 
 
-def _make_system(circuit: Circuit, kernel: str) -> MNASystem:
-    """Build the MNA system and install reuse state for the compiled kernel."""
-    system = MNASystem(circuit, kernel=kernel)
-    if kernel == "compiled":
-        system.jacobian_cache = _JacobianCache()
+def _make_system(circuits: list[Circuit]) -> MNASystem:
+    """Validate the circuits and build their system with a reuse cache."""
+    for circuit in circuits:
+        circuit.validate()
+    system = MNASystem(circuits)
+    system.jacobian_cache = _JacobianCache()
     return system
+
+
+def _finish_stats(stats: SolverStats, system: MNASystem,
+                  tracker: _BudgetTracker | None) -> None:
+    if tracker is not None:
+        stats.budget_charges = tracker.charges
+    stats.jacobian_reuses = system.jacobian_cache.reuses
 
 
 def dc_operating_point(
     circuit: Circuit,
     t: float = 0.0,
     budget: SolverBudget | None = None,
-    kernel: str = "compiled",
 ) -> OperatingPoint:
-    """Solve the DC operating point with sources evaluated at time ``t``.
-
-    ``kernel`` selects the MNA assembly/iteration strategy: the default
-    ``"compiled"`` vectorized kernel with Jacobian reuse, or
-    ``"reference"`` (the retained seed path, used by equivalence tests
-    and benchmarks).
-    """
-    circuit.validate()
-    system = _make_system(circuit, kernel)
-    x0 = np.zeros(system.dim)
+    """Solve the DC operating point with sources evaluated at time ``t``."""
+    system = _make_system([circuit])
+    x0 = np.zeros((1, system.dim))
     tracker = budget.tracker() if budget is not None else None
     stats = SolverStats()
     with telemetry.span("spice.dc_operating_point",
                         circuit=circuit.title) as sp:
-        x, iterations = _solve_with_gmin_stepping(system, x0, t, None,
-                                                  tracker, stats)
+        x, iterations = _solve_with_gmin_stepping(
+            system, x0, system.source_values(t), t, None, tracker, stats)
         stats.newton_iterations = iterations
-        if tracker is not None:
-            stats.budget_charges = tracker.charges
-        if system.jacobian_cache is not None:
-            stats.jacobian_reuses = system.jacobian_cache.reuses
+        _finish_stats(stats, system, tracker)
         if telemetry.enabled():
             sp.set(newton_iterations=stats.newton_iterations,
                    gmin_steps=stats.gmin_steps,
                    source_steps=stats.source_steps)
             _record_solver_metrics("dc", stats)
-    voltages = {n: float(x[i]) for n, i in zip(system.nodes, range(system.n_nodes))}
+    x = x[0]
+    voltages = dict(zip(system.nodes, map(float, x[: system.n_nodes])))
     currents = {
         src.name: float(x[system.n_nodes + k])
         for k, src in enumerate(circuit.sources)
@@ -508,7 +561,6 @@ def transient(
     record: list[str] | None = None,
     method: str = "be",
     budget: SolverBudget | None = None,
-    kernel: str = "compiled",
 ) -> TransientResult:
     """Fixed-step transient from a DC solution at ``t = 0``.
 
@@ -533,228 +585,13 @@ def transient(
         integrator reconstructs from the companion at each step.
     budget:
         Optional :class:`SolverBudget` bounding the whole run.
-    kernel:
-        ``"compiled"`` (vectorized assembly + Jacobian reuse across
-        timesteps, default) or ``"reference"`` (retained seed path).
+
+    Every solve (the DC start and each timestep) walks the escalation
+    ladder on failure; a step that fails all of it raises
+    :class:`ConvergenceError`.
     """
-    if not np.isfinite(dt) or not np.isfinite(t_stop) \
-            or dt <= 0 or t_stop <= 0:
-        raise ConfigError("t_stop and dt must be finite and positive",
-                          field="dt")
-    if method not in ("be", "trap"):
-        raise ConfigError(f"unknown integration method {method!r}",
-                          field="method")
-    if t_stop / dt > _MAX_TRANSIENT_STEPS:
-        raise ConfigError(
-            f"oversized transient: t_stop/dt = {t_stop / dt:.3g} steps "
-            f"exceeds the {_MAX_TRANSIENT_STEPS} cap", field="dt")
-    circuit.validate()
-    system = _make_system(circuit, kernel)
-    record = system.nodes if record is None else record
-    record_idx = [system.index(node) for node in record]  # validate early
-
-    # Snap dt down so the grid lands exactly on t_stop (the old
-    # int(round(...)) silently simulated a window up to dt/2 short or
-    # long of the request).  The 1e-9 slack absorbs representation error
-    # when t_stop/dt is an exact integer in real arithmetic.
-    n_steps = max(1, int(np.ceil(t_stop / dt - 1e-9)))
-    dt_eff = t_stop / n_steps
-    time = np.linspace(0.0, t_stop, n_steps + 1)
-    tracker = budget.tracker() if budget is not None else None
-    stats = SolverStats(timesteps=n_steps, dt_effective=dt_eff)
-
-    x0 = np.zeros(system.dim)
-    x, dc_its = _solve_with_gmin_stepping(system, x0, 0.0, None, tracker,
-                                          stats)
-    stats.newton_iterations += dc_its
-
-    caps = circuit.capacitors
-    scale = 1.0 if method == "be" else 2.0
-    geq = np.array([scale * c.capacitance / dt_eff for c in caps])
-
-    # The whole run records into one preallocated (n_steps+1, dim) array;
-    # per-node waveforms are sliced out once at the end.
-    solution = np.empty((n_steps + 1, system.dim))
-    solution[0] = x
-    v_cap_prev = system.cap_voltages(x)
-    i_cap_prev = np.zeros(len(caps))  # branch currents start from DC (0)
-    with telemetry.span("spice.transient", circuit=circuit.title,
-                        t_stop=t_stop, steps=n_steps) as sp:
-        total_its = 0
-        for step in range(1, n_steps + 1):
-            t = time[step]
-            if method == "be":
-                # i_C = C/dt * (v - v_prev): geq = C/dt, ieq = -C/dt * v_prev.
-                ieq = -geq * v_cap_prev
-            else:
-                # Trapezoidal: i = 2C/dt * (v - v_prev) - i_prev.
-                ieq = -geq * v_cap_prev - i_cap_prev
-            x, its = _solve_with_gmin_stepping(system, x, t, (geq, ieq),
-                                               tracker, stats)
-            total_its += its
-            v_cap_new = system.cap_voltages(x)
-            if method == "trap":
-                i_cap_prev = geq * (v_cap_new - v_cap_prev) - i_cap_prev
-            v_cap_prev = v_cap_new
-            solution[step] = x
-        stats.newton_iterations += total_its
-        if tracker is not None:
-            stats.budget_charges = tracker.charges
-        if system.jacobian_cache is not None:
-            stats.jacobian_reuses = system.jacobian_cache.reuses
-        if telemetry.enabled():
-            sp.set(newton_iterations=stats.newton_iterations,
-                   gmin_steps=stats.gmin_steps,
-                   source_steps=stats.source_steps,
-                   dt_effective=dt_eff)
-            _record_solver_metrics("transient", stats)
-
-    # Slice out recorded nodes; a trailing zero column serves ground
-    # aliases (index -1) without per-step special-casing.
-    extended = np.hstack([solution, np.zeros((n_steps + 1, 1))])
-    volts = {
-        n: np.ascontiguousarray(extended[:, i])
-        for n, i in zip(record, record_idx)
-    }
-    src_currents = {
-        s.name: np.ascontiguousarray(solution[:, system.n_nodes + k])
-        for k, s in enumerate(circuit.sources)
-    }
-    return TransientResult(
-        time=time,
-        voltages=volts,
-        source_currents=src_currents,
-        circuit_title=circuit.title,
-        dt_effective=dt_eff,
-        stats=stats,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Batched-grid transient: all replicas of a characterization row in
-# lockstep through one block-diagonal system.
-# --------------------------------------------------------------------- #
-class _GridJacobianCache:
-    """Frozen batched Jacobian + device companions across lockstep solves.
-
-    Same modified-Newton semantics as :class:`_JacobianCache` -- a bypass
-    iteration reuses the frozen linearization and is never accepted stale
-    -- but the "LU" is the whole ``(G, dim, dim)`` assembled stack: the
-    per-replica blocks are tiny, so one batched ``np.linalg.solve`` call
-    (which refactorizes each small block inside LAPACK) costs less than
-    holding G scipy factorizations and looping ``lu_solve`` in Python.
-    One ``reuses`` tick therefore stands for G bypassed point-solves.
-    """
-
-    __slots__ = ("a", "key", "fet_ieq", "reuses")
-
-    def __init__(self):
-        self.a = None
-        self.key = None
-        self.fet_ieq = None
-        self.reuses = 0
-
-    def store(self, key, a, fet_ieq) -> None:
-        self.key = key
-        self.a = a
-        self.fet_ieq = fet_ieq
-
-    def matches(self, key) -> bool:
-        return self.a is not None and self.key == key
-
-
-def _grid_linear_solve(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Batched block solve; a singular replica poisons only itself.
-
-    ``np.linalg.solve`` rejects the whole batch when any block is
-    singular, so on failure the blocks are re-solved one by one and the
-    offenders come back as NaN rows -- which the masked Newton loop
-    converts into an eviction of exactly those replicas.
-    """
-    try:
-        # The explicit trailing unit axis pins the gufunc signature to a
-        # stack of column vectors on every numpy version.
-        return np.linalg.solve(a, z[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(z)
-        for g in range(z.shape[0]):
-            try:
-                out[g] = np.linalg.solve(a[g], z[g])
-            except np.linalg.LinAlgError:
-                out[g] = np.nan
-        return out
-
-
-def _grid_newton_solve(
-    rsys: ReplicatedMNASystem,
-    x: np.ndarray,
-    source_values: np.ndarray,
-    gmin: float,
-    cap_companion: tuple[np.ndarray, np.ndarray] | None,
-    alive: np.ndarray,
-    tracker: _BudgetTracker | None,
-) -> tuple[int, np.ndarray]:
-    """One lockstep masked modified-Newton solve across all replicas.
-
-    ``x`` (``(G, dim)``) is updated in place for replicas in ``alive``.
-    Masked convergence: a replica whose fresh-Jacobian update lands under
-    ``_VTOL`` is frozen (its block stops moving and stops contributing to
-    the residual norm) while the others keep iterating; a replica whose
-    update goes non-finite, or that is still unconverged when the
-    iteration cap runs out, is dropped.  Returns ``(iterations,
-    converged)`` where ``converged`` marks the replicas that finished
-    cleanly -- the caller evicts ``alive & ~converged``.
-
-    Per-replica math (block solve, clamp, convergence test) is identical
-    to :func:`_newton_solve`, so a replica that converges here produces
-    the same solution the sequential path would on the same grid.
-    """
-    cache: _GridJacobianCache = rsys.jacobian_cache
-    key = (gmin, 1.0, cap_companion is not None)
-    linear = rsys.n_fets == 0
-    n_nodes = rsys.n_nodes
-    need = alive.copy()
-    failed = np.zeros_like(alive)
-    if not need.any():
-        return 0, np.zeros_like(alive)
-    for it in range(1, _MAX_NR_ITERATIONS + 1):
-        stale = False
-        if cache.matches(key) and (linear or it == 1):
-            z = rsys.rhs(source_values, cap_companion, cache.fet_ieq)
-            a = cache.a
-            cache.reuses += 1
-            stale = not linear
-        else:
-            a, z, fet_ieq = rsys.assemble_with_companions(
-                x, source_values, gmin=gmin, cap_companion=cap_companion)
-            cache.store(key, a, fet_ieq)
-        delta = _grid_linear_solve(a, z) - x
-        finite = np.isfinite(delta).all(axis=1)
-        newly_bad = need & ~finite
-        if newly_bad.any():
-            failed |= newly_bad
-            need &= finite
-            if not need.any():
-                return it, alive & ~failed & ~need
-        if tracker is not None:
-            tracker.charge(1)
-        if n_nodes:
-            max_dv = np.abs(delta[:, :n_nodes]).max(axis=1)
-        else:
-            max_dv = np.zeros(rsys.n_replicas)
-        over = need & (max_dv > _STEP_CLAMP)
-        if over.any():
-            delta[over, :n_nodes] *= (_STEP_CLAMP / max_dv[over])[:, None]
-        # Converged and evicted replicas are frozen: their blocks stop
-        # moving, so survivors never see a dead replica's state.
-        delta[~need] = 0.0
-        x += delta
-        if not stale:
-            need &= ~(max_dv < _VTOL)
-        if not need.any():
-            return it, alive & ~failed
-    # Iteration cap: whatever is still iterating failed to converge.
-    return _MAX_NR_ITERATIONS, alive & ~failed & ~need
+    return _lockstep([circuit], t_stop, dt, record, method, budget,
+                     escalate=True)[0]
 
 
 def transient_grid(
@@ -769,19 +606,19 @@ def transient_grid(
 
     The replicas (same topology, per-replica element values and source
     waveforms -- e.g. one load row of an NLDM characterization grid) are
-    tiled into a :class:`~repro.spice.mna.ReplicatedMNASystem` and
-    stepped in lockstep on one shared time grid: each Newton iteration
-    makes ONE compact-model call and ONE batched block solve for the
-    whole grid, and every source value on the grid is precomputed up
-    front, so the per-step Python overhead is paid once per *batch*
-    instead of once per point.
+    tiled into one :class:`~repro.spice.mna.MNASystem` and stepped in
+    lockstep on one shared time grid: each Newton iteration makes ONE
+    compact-model call and ONE batched block solve for the whole grid,
+    so the per-step Python overhead is paid once per *batch* instead of
+    once per point.
 
     Masked convergence / eviction: replicas that converge within a step
     freeze until the next step; a replica that fails (non-finite update,
     singular block, or the iteration cap) is **evicted** -- its slot in
     the returned list is ``None`` and the survivors continue unperturbed.
-    Callers replay evicted points through the sequential retry ladder
-    (see ``repro.cells.characterize._solve_point_resilient``), so one bad
+    There is no escalation ladder here: callers replay evicted points
+    through their own retry path (see
+    ``repro.cells.characterize._solve_point_resilient``), so one bad
     corner never voids the batch.  A :class:`SolverBudget` bounds the
     whole batch; exhaustion raises
     :class:`~repro.errors.SolverBudgetError` (the batch, unlike a
@@ -790,6 +627,26 @@ def transient_grid(
     Returns one :class:`TransientResult` per input circuit, in order,
     with ``None`` for evicted replicas.  All results share the batch's
     :class:`SolverStats` object.
+    """
+    return _lockstep(circuits, t_stop, dt, record, method, budget,
+                     escalate=False)
+
+
+def _lockstep(
+    circuits: list[Circuit],
+    t_stop: float,
+    dt: float,
+    record: list[str] | None,
+    method: str,
+    budget: SolverBudget | None,
+    escalate: bool,
+) -> list[TransientResult | None]:
+    """The transient stepper behind :func:`transient` and
+    :func:`transient_grid`.
+
+    ``escalate`` picks the failure policy per solve: walk the escalation
+    ladder and raise (the single-circuit entry point), or evict the
+    failing replicas and carry on with the rest (the grid).
     """
     if not np.isfinite(dt) or not np.isfinite(t_stop) \
             or dt <= 0 or t_stop <= 0:
@@ -802,14 +659,15 @@ def transient_grid(
         raise ConfigError(
             f"oversized transient: t_stop/dt = {t_stop / dt:.3g} steps "
             f"exceeds the {_MAX_TRANSIENT_STEPS} cap", field="dt")
-    for circuit in circuits:
-        circuit.validate()
-    rsys = ReplicatedMNASystem(circuits)
-    rsys.jacobian_cache = _GridJacobianCache()
-    g = rsys.n_replicas
-    record = rsys.nodes if record is None else record
-    record_idx = [rsys.base.index(node) for node in record]  # validate early
+    system = _make_system(circuits)
+    g = system.n_replicas
+    record = system.nodes if record is None else record
+    record_idx = [system.index(node) for node in record]  # validate early
 
+    # Snap dt down so the grid lands exactly on t_stop (never simulate a
+    # window short or long of the request).  The 1e-9 slack absorbs
+    # representation error when t_stop/dt is an exact integer in real
+    # arithmetic.
     n_steps = max(1, int(np.ceil(t_stop / dt - 1e-9)))
     dt_eff = t_stop / n_steps
     time = np.linspace(0.0, t_stop, n_steps + 1)
@@ -818,54 +676,68 @@ def transient_grid(
 
     # Every source value for the whole run, evaluated once (shared
     # waveforms once per batch): (n_steps+1, G, n_sources).
-    src_grid = rsys.source_grid(time)
-
-    x = np.zeros((g, rsys.dim))
+    src_grid = system.source_grid(time)
     alive = np.ones(g, dtype=bool)
-    solution = np.empty((n_steps + 1, g, rsys.dim))
-    with telemetry.span("spice.transient_grid", circuit=circuits[0].title,
-                        replicas=g, t_stop=t_stop, steps=n_steps) as sp:
-        its, converged = _grid_newton_solve(
-            rsys, x, src_grid[0], GMIN_DEFAULT, None, alive, tracker)
+
+    def solve(x, step, cap_companion):
+        """One lockstep solve at ``time[step]`` under the failure policy."""
+        if escalate:
+            x, its = _solve_with_gmin_stepping(
+                system, x, src_grid[step], time[step], cap_companion,
+                tracker, stats)
+        else:
+            its, converged = _newton_solve(
+                system, x, src_grid[step], GMIN_DEFAULT, cap_companion,
+                tracker, alive=alive)
+            alive[:] &= converged
         stats.newton_iterations += its
-        alive &= converged  # a replica that fails DC is evicted outright
+        return x
+
+    # The whole run records into one preallocated array; per-node
+    # waveforms are sliced out once at the end.
+    solution = np.empty((n_steps + 1, g, system.dim))
+    kind = "transient" if escalate else "transient_grid"
+    with telemetry.span(f"spice.{kind}", circuit=circuits[0].title,
+                        replicas=g, t_stop=t_stop, steps=n_steps) as sp:
+        # A replica that fails the DC start is evicted outright.
+        x = solve(np.zeros((g, system.dim)), 0, None)
         solution[0] = x
 
         scale = 1.0 if method == "be" else 2.0
-        geq = scale * rsys._cap_c / dt_eff  # (G, n_caps)
-        v_cap_prev = rsys.cap_voltages(x)
-        i_cap_prev = np.zeros_like(v_cap_prev)
+        geq = scale * system.cap_c / dt_eff  # (G, n_caps)
+        v_cap_prev = system.cap_voltages(x)
+        i_cap_prev = np.zeros_like(v_cap_prev)  # currents start from DC (0)
         for step in range(1, n_steps + 1):
             if not alive.any():
                 break
             if method == "be":
+                # i_C = C/dt * (v - v_prev): geq = C/dt, ieq = -C/dt * v_prev.
                 ieq = -geq * v_cap_prev
             else:
+                # Trapezoidal: i = 2C/dt * (v - v_prev) - i_prev.
                 ieq = -geq * v_cap_prev - i_cap_prev
-            its, converged = _grid_newton_solve(
-                rsys, x, src_grid[step], GMIN_DEFAULT, (geq, ieq),
-                alive, tracker)
-            stats.newton_iterations += its
-            alive &= converged
-            v_cap_new = rsys.cap_voltages(x)
+            x = solve(x, step, (geq, ieq))
+            v_cap_new = system.cap_voltages(x)
             if method == "trap":
                 i_cap_prev = geq * (v_cap_new - v_cap_prev) - i_cap_prev
             v_cap_prev = v_cap_new
             solution[step] = x
-        if tracker is not None:
-            stats.budget_charges = tracker.charges
-        stats.jacobian_reuses = rsys.jacobian_cache.reuses
+        _finish_stats(stats, system, tracker)
         if telemetry.enabled():
             sp.set(newton_iterations=stats.newton_iterations,
+                   gmin_steps=stats.gmin_steps,
+                   source_steps=stats.source_steps,
                    survivors=int(alive.sum()),
                    evicted=int(g - alive.sum()),
                    dt_effective=dt_eff)
-            _record_solver_metrics("transient_grid", stats)
+            _record_solver_metrics(kind, stats)
 
+    # Slice out recorded nodes; a trailing zero column serves ground
+    # aliases (index -1) without per-step special-casing.
     extended = np.concatenate(
         [solution, np.zeros((n_steps + 1, g, 1))], axis=2)
     results: list[TransientResult | None] = []
-    for r in range(g):
+    for r, circuit in enumerate(circuits):
         if not alive[r]:
             results.append(None)
             continue
@@ -874,14 +746,14 @@ def transient_grid(
             for n, i in zip(record, record_idx)
         }
         src_currents = {
-            s.name: np.ascontiguousarray(solution[:, r, rsys.n_nodes + k])
-            for k, s in enumerate(circuits[r].sources)
+            s.name: np.ascontiguousarray(solution[:, r, system.n_nodes + k])
+            for k, s in enumerate(circuit.sources)
         }
         results.append(TransientResult(
             time=time,
             voltages=volts,
             source_currents=src_currents,
-            circuit_title=circuits[r].title,
+            circuit_title=circuit.title,
             dt_effective=dt_eff,
             stats=stats,
         ))

@@ -3,13 +3,13 @@
 The batched path must be a pure performance transformation of the
 per-point SPICE path:
 
-* ``ReplicatedMNASystem`` assembly is block-for-block identical to
-  assembling each replica's ``MNASystem`` alone (randomized circuits);
+* a G-replica ``MNASystem`` assembles block-for-block what each
+  replica's one-replica system assembles alone (randomized circuits);
 * masked convergence isolates failures -- an evicted replica never
   perturbs the survivors' solutions;
 * golden INV/NAND2 arc tables from the batched path pin to 1e-9 against
-  the sequential path run point-by-point on the same union time grids,
-  at 300 K and 10 K.
+  single-circuit transients run point-by-point on the same union time
+  grids, at 300 K and 10 K.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.spice import (
     PWL,
     Circuit,
     MNASystem,
-    ReplicatedMNASystem,
     propagation_delay,
     ramp,
     transient,
@@ -76,36 +75,37 @@ class TestReplicatedAssembly:
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_match_single_system_reference(self, models, seed):
         circuits = _nand2_family(models, n=5)
-        rsys = ReplicatedMNASystem(circuits)
+        rsys = MNASystem(circuits)
         g, dim = rsys.n_replicas, rsys.dim
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(-0.2, VDD + 0.2, size=(g, dim))
         t = float(rng.uniform(0.0, 15e-12))
-        n_caps = rsys._cap_c.shape[1]
+        n_caps = rsys.cap_c.shape[1]
         geq = rng.uniform(1e-6, 1e-4, size=(g, n_caps))
         ieq = rng.uniform(-1e-5, 1e-5, size=(g, n_caps))
 
         sv = rsys.source_values(t)
-        a_g, z_g, fi_g = rsys.assemble_with_companions(
-            x, sv, cap_companion=(geq, ieq))
-        f_g = rsys.residual(x, t, cap_companion=(geq, ieq))
+        a_g, z_g, fi_g = rsys.assemble(x, sv, cap_companion=(geq, ieq))
+        f_g = rsys.residual(x, sv, cap_companion=(geq, ieq))
         z_again = rsys.rhs(sv, (geq, ieq), fi_g)
         np.testing.assert_array_equal(z_again, z_g)
 
         for r, circuit in enumerate(circuits):
-            single = MNASystem(circuit, kernel="compiled")
-            a_1, z_1, fi_1 = single.assemble_with_companions(
-                x[r], t, cap_companion=(geq[r], ieq[r]))
-            f_1 = single.residual(x[r], t, cap_companion=(geq[r], ieq[r]))
+            single = MNASystem([circuit])
+            comp = (geq[r:r + 1], ieq[r:r + 1])
+            sv_1 = single.source_values(t)
+            a_1, z_1, fi_1 = single.assemble(x[r:r + 1], sv_1,
+                                             cap_companion=comp)
+            f_1 = single.residual(x[r:r + 1], sv_1, cap_companion=comp)
             n = single.n_fets
-            assert np.array_equal(a_g[r], a_1)
-            assert np.array_equal(z_g[r], z_1)
+            assert np.array_equal(a_g[r], a_1[0])
+            assert np.array_equal(z_g[r], z_1[0])
             assert np.array_equal(fi_g[r * n:(r + 1) * n], fi_1)
-            np.testing.assert_allclose(f_g[r], f_1, rtol=0, atol=1e-18)
+            np.testing.assert_allclose(f_g[r], f_1[0], rtol=0, atol=1e-18)
 
     def test_source_grid_matches_scalar_values(self, models):
         circuits = _nand2_family(models, n=3)
-        rsys = ReplicatedMNASystem(circuits)
+        rsys = MNASystem(circuits)
         times = np.linspace(0.0, 20e-12, 11)
         grid = rsys.source_grid(times)
         for k, t in enumerate(times):
@@ -115,13 +115,13 @@ class TestReplicatedAssembly:
         circuits = _nand2_family(models, n=2)
         hot = _nand2_family(models, n=1, temp=77.0)
         with pytest.raises(NetlistError):
-            ReplicatedMNASystem([circuits[0], hot[0]])
+            MNASystem([circuits[0], hot[0]])
 
     def test_topology_mismatch_rejected(self, models):
         circuits = _nand2_family(models, n=2)
         circuits[1].add_resistor("r_extra", "Y", "0", 1e6)
         with pytest.raises(NetlistError):
-            ReplicatedMNASystem(circuits)
+            MNASystem(circuits)
 
 
 class TestMaskedConvergence:
@@ -232,19 +232,3 @@ class TestGoldenGridTables:
                 got, ref[key], rtol=1e-9, atol=1e-15,
                 err_msg=f"{cell_name}@{temp}K {key}",
             )
-
-    def test_grid_batch_off_restores_sequential_path(self, models):
-        # grid_batch=False must produce tables through the per-point
-        # path; values agree with the batched path to characterization
-        # accuracy (different time grids, so not bit-identical).
-        cell = cell_by_name("INV_X1")
-        pin = cell.inputs[0]
-        arc_b = _characterizer(models, 300.0)._characterize_arc_spice(
-            cell, pin, [])
-        arc_s = _characterizer(
-            models, 300.0, grid_batch=False
-        )._characterize_arc_spice(cell, pin, [])
-        for key in ("cell_rise", "cell_fall"):
-            b = getattr(arc_b, key).values
-            s = getattr(arc_s, key).values
-            np.testing.assert_allclose(b, s, rtol=0.05, atol=0.2e-12)

@@ -1,8 +1,9 @@
-"""Equivalence of the compiled MNA kernel against the retained reference.
+"""Equivalence of the MNA kernel against the seed-kernel test oracle.
 
-The compiled kernel must be a pure performance transformation: same
-stamps, same linearization, same accepted solutions.  Three layers of
-checks:
+The compiled kernel must be a pure performance transformation of the
+per-element stamping loop and full-Newton solver loop kept in
+``tests/spice/reference_kernel.py``: same stamps, same linearization,
+same accepted solutions.  Four layers of checks:
 
 * assembly equivalence on randomized circuits (resistors, capacitors,
   sources, n/p FinFETs, ground aliases): A and z agree to summation-order
@@ -11,8 +12,11 @@ checks:
   assembled at the same point (companion linearization is exact at its
   expansion point);
 * golden DC/transient regression: INV and NAND2 solves at 300 K and 10 K
-  agree between kernels to 1e-9, and the stacked device evaluator matches
-  per-device scalar evaluation.
+  agree with the oracle to 1e-9, and the stacked device evaluator
+  matches per-device scalar evaluation;
+* solver-effort pins: the Newton iterations, Jacobian reuses and ladder
+  rungs those golden solves cost, so an effort regression cannot hide
+  behind unchanged waveforms.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.special import lambertw
+from tests.spice import reference_kernel
 
 from repro.device.finfet import FinFET, _lambertw0, stack_models
 from repro.device.params import default_nfet, default_pfet
@@ -88,17 +93,19 @@ class TestAssemblyEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_assembly_matches_reference(self, seed):
         circuit = _rand_circuit(seed)
-        compiled = MNASystem(circuit, kernel="compiled")
-        reference = MNASystem(circuit, kernel="reference")
+        compiled = MNASystem([circuit])
+        reference = reference_kernel.ReferenceSystem(circuit)
         rng = np.random.default_rng(1000 + seed)
         for trial in range(3):
             v = rng.uniform(-VDD, VDD, compiled.dim)
             n_caps = len(circuit.capacitors)
             comp = (rng.uniform(1.0, 1e3, n_caps),
                     rng.uniform(-1e-3, 1e-3, n_caps)) if trial else None
-            a_c, z_c = compiled.assemble(v, 0.0, gmin=1e-10,
-                                         cap_companion=comp,
-                                         source_scale=0.7)
+            batched = None if comp is None else (comp[0][None], comp[1][None])
+            a_c, z_c, _ = compiled.assemble(
+                v[None], compiled.source_values(0.0), gmin=1e-10,
+                cap_companion=batched, source_scale=0.7)
+            a_c, z_c = a_c[0], z_c[0]
             a_r, z_r = reference.assemble(v, 0.0, gmin=1e-10,
                                           cap_companion=comp,
                                           source_scale=0.7)
@@ -110,42 +117,44 @@ class TestAssemblyEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_matches_assembled_system(self, seed):
         circuit = _rand_circuit(seed)
-        system = MNASystem(circuit, kernel="compiled")
+        system = MNASystem([circuit])
         rng = np.random.default_rng(2000 + seed)
-        v = rng.uniform(0.0, VDD, system.dim)
+        v = rng.uniform(0.0, VDD, (1, system.dim))
         n_caps = len(circuit.capacitors)
-        comp = (rng.uniform(1.0, 1e3, n_caps),
-                rng.uniform(-1e-3, 1e-3, n_caps))
-        a, z = system.assemble(v, 0.0, gmin=1e-10, cap_companion=comp)
-        f = system.residual(v, 0.0, gmin=1e-10, cap_companion=comp)
+        comp = (rng.uniform(1.0, 1e3, (1, n_caps)),
+                rng.uniform(-1e-3, 1e-3, (1, n_caps)))
+        sv = system.source_values(0.0)
+        a, z, _ = system.assemble(v, sv, gmin=1e-10, cap_companion=comp)
+        f = system.residual(v, sv, gmin=1e-10, cap_companion=comp)
         # The companion linearization is exact at its expansion point, so
         # F(v) == A(v) v - z(v) up to floating-point noise.
-        ref = a @ v - z
+        ref = np.einsum("gij,gj->gi", a, v) - z
         assert np.abs(f - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
 
     def test_rhs_matches_assembled_z(self):
         circuit = _rand_circuit(3)
-        system = MNASystem(circuit, kernel="compiled")
+        system = MNASystem([circuit])
         rng = np.random.default_rng(99)
-        v = rng.uniform(0.0, VDD, system.dim)
+        v = rng.uniform(0.0, VDD, (1, system.dim))
         n_caps = len(circuit.capacitors)
-        comp = (rng.uniform(1.0, 1e3, n_caps),
-                rng.uniform(-1e-3, 1e-3, n_caps))
-        _, z, fet_ieq = system.assemble_with_companions(
-            v, 0.0, cap_companion=comp, source_scale=0.9)
-        z_again = system.rhs(0.0, comp, 0.9, fet_ieq)
+        comp = (rng.uniform(1.0, 1e3, (1, n_caps)),
+                rng.uniform(-1e-3, 1e-3, (1, n_caps)))
+        sv = system.source_values(0.0)
+        _, z, fet_ieq = system.assemble(v, sv, cap_companion=comp,
+                                        source_scale=0.9)
+        z_again = system.rhs(sv, comp, fet_ieq, source_scale=0.9)
         np.testing.assert_allclose(z_again, z, rtol=0, atol=1e-18)
 
 
 class TestGoldenRegression:
-    """Compiled solves pin to the reference kernel within 1e-9."""
+    """Solves pin to the seed-kernel oracle within 1e-9."""
 
     @pytest.mark.parametrize("temp", [300.0, 10.0])
     @pytest.mark.parametrize("make", [_inv, _nand2])
     def test_dc_matches_reference(self, make, temp):
         circuit = make(temp)
-        op_c = dc_operating_point(circuit, kernel="compiled")
-        op_r = dc_operating_point(circuit, kernel="reference")
+        op_c = dc_operating_point(circuit)
+        op_r = reference_kernel.dc_operating_point(circuit)
         for node, val in op_r.voltages.items():
             assert abs(op_c.voltages[node] - val) < 1e-9
         for name, val in op_r.source_currents.items():
@@ -155,8 +164,8 @@ class TestGoldenRegression:
     @pytest.mark.parametrize("make", [_inv, _nand2])
     def test_transient_matches_reference(self, make, temp):
         circuit = make(temp)
-        tr_c = transient(circuit, 60e-12, 1e-12, kernel="compiled")
-        tr_r = transient(circuit, 60e-12, 1e-12, kernel="reference")
+        tr_c = transient(circuit, 60e-12, 1e-12)
+        tr_r = reference_kernel.transient(circuit, 60e-12, 1e-12)
         for node, wave in tr_r.voltages.items():
             assert np.abs(tr_c.voltages[node] - wave).max() < 1e-9
         for name, wave in tr_r.source_currents.items():
@@ -164,21 +173,21 @@ class TestGoldenRegression:
 
     def test_jacobian_reuse_stats(self):
         circuit = _inv(300.0)
-        tr_c = transient(circuit, 60e-12, 1e-12, kernel="compiled")
-        tr_r = transient(circuit, 60e-12, 1e-12, kernel="reference")
-        # Every timestep after the first bypasses on the cached LU (the
-        # first transient step cannot: the DC solve cached a different
-        # companion key).
+        tr_c = transient(circuit, 60e-12, 1e-12)
+        tr_r = reference_kernel.transient(circuit, 60e-12, 1e-12)
+        # Every timestep after the first bypasses on the cached Jacobian
+        # (the first transient step cannot: the DC solve cached a
+        # different companion key).
         assert tr_c.stats.jacobian_reuses >= tr_c.stats.timesteps - 1
         assert tr_r.stats.jacobian_reuses == 0
 
     def test_device_currents_equivalent(self):
         circuit = _nand2(300.0)
-        op = dc_operating_point(circuit, kernel="compiled")
-        compiled = MNASystem(circuit, kernel="compiled")
+        op = dc_operating_point(circuit)
+        compiled = MNASystem([circuit])
         x = np.array([op.voltages[n] for n in compiled.nodes]
                      + [op.source_currents[s.name] for s in circuit.sources])
-        currents = compiled.device_currents(x)
+        (currents,) = compiled.device_currents(x[None])
         assert set(currents) == {"mpa", "mpb", "mna", "mnb"}
         # Cross-check against direct per-device model evaluation.
         volts = dict(op.voltages)
@@ -190,6 +199,33 @@ class TestGoldenRegression:
             direct = float(fet.model.ids(vgs, vds, 300.0))
             assert currents[fet.name] == pytest.approx(direct, rel=1e-9,
                                                        abs=1e-18)
+
+
+#: (newton_iterations, jacobian_reuses, gmin_steps, source_steps) of the
+#: golden solves, recorded before the single-circuit and grid kernels
+#: were merged.
+_EFFORT_PINS = {
+    ("_inv", 300.0): {"dc": (7, 0, 0, 0), "transient": (173, 59, 0, 0)},
+    ("_inv", 10.0): {"dc": (7, 0, 0, 0), "transient": (169, 59, 0, 0)},
+    ("_nand2", 300.0): {"dc": (7, 0, 0, 0), "transient": (181, 59, 0, 0)},
+    ("_nand2", 10.0): {"dc": (8, 0, 0, 0), "transient": (179, 59, 0, 0)},
+}
+
+
+def _effort(stats) -> tuple[int, int, int, int]:
+    return (stats.newton_iterations, stats.jacobian_reuses,
+            stats.gmin_steps, stats.source_steps)
+
+
+class TestSolverEffortPins:
+    @pytest.mark.parametrize("temp", [300.0, 10.0])
+    @pytest.mark.parametrize("make", [_inv, _nand2])
+    def test_golden_solver_effort(self, make, temp):
+        circuit = make(temp)
+        pins = _EFFORT_PINS[(make.__name__, temp)]
+        assert _effort(dc_operating_point(circuit).stats) == pins["dc"]
+        tr = transient(circuit, 60e-12, 1e-12)
+        assert _effort(tr.stats) == pins["transient"]
 
 
 class TestStackedEvaluator:

@@ -68,15 +68,15 @@ class TestEscalationLadder:
         state = {"source_mode": False}
         real = solver_mod._newton_solve
 
-        def flaky(system, x0, t, gmin, cap_companion, source_scale=1.0,
-                  tracker=None):
+        def flaky(system, x, source_values, gmin, cap_companion, tracker,
+                  source_scale=1.0, alive=None):
             calls.append((gmin, source_scale))
             if source_scale < 1.0:
                 state["source_mode"] = True  # continuation has begun
             if not state["source_mode"]:
                 raise ConvergenceError(f"forced failure at gmin={gmin}")
-            return real(system, x0, t, gmin, cap_companion,
-                        source_scale=source_scale, tracker=tracker)
+            return real(system, x, source_values, gmin, cap_companion,
+                        tracker, source_scale=source_scale, alive=alive)
 
         monkeypatch.setattr(solver_mod, "_newton_solve", flaky)
         op = dc_operating_point(_rc_circuit())
@@ -90,8 +90,8 @@ class TestEscalationLadder:
     def test_source_stepping_failure_keeps_ladder_context(
         self, monkeypatch
     ):
-        def always_fails(system, x0, t, gmin, cap_companion,
-                         source_scale=1.0, tracker=None):
+        def always_fails(system, x, source_values, gmin, cap_companion,
+                         tracker, source_scale=1.0, alive=None):
             raise ConvergenceError(
                 f"forced failure (gmin={gmin}, scale={source_scale})"
             )
